@@ -426,6 +426,12 @@ impl<D: BlockDevice> WormServer<D> {
         &self.read_plane
     }
 
+    /// The read epoch ([`ReadPlane::read_epoch`]): a mutation counter
+    /// while the head is fresh, `None` while a read would refresh it.
+    pub fn read_epoch(&self) -> Option<u64> {
+        self.read_plane.read_epoch()
+    }
+
     /// Read access to the host-side VRDT (tests and tools). The returned
     /// guard blocks witness-plane mutations while held.
     pub fn vrdt(&self) -> RwLockReadGuard<'_, Vrdt> {
@@ -580,9 +586,10 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     fn read_inner(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
-        if self.read_plane.head_stale() {
-            // Serialize only the refresh; the staleness re-check inside
-            // collapses racing readers into one device round-trip.
+        if self.read_epoch().is_none() {
+            // The head is missing or stale. Serialize only the refresh;
+            // the staleness re-check inside collapses racing readers
+            // into one device round-trip.
             self.ops.read_slow_path.inc();
             self.witness.lock().ensure_fresh_head()?;
         }
@@ -615,7 +622,7 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Device or firmware failures during a lazy refresh.
     pub fn current_head(&self) -> Result<HeadCert, WormError> {
-        if self.read_plane.head_stale() {
+        if self.read_epoch().is_none() {
             self.witness.lock().ensure_fresh_head()?;
         }
         self.vrdt()

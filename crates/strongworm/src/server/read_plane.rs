@@ -77,14 +77,20 @@ impl<D: BlockDevice> ReadPlane<D> {
         self.vrdt.write()
     }
 
-    /// Whether the head certificate is missing or older than the refresh
-    /// interval. A cheap probe readers use to decide if the witness plane
-    /// must be consulted before serving freshness evidence.
-    pub fn head_stale(&self) -> bool {
-        match self.vrdt.read().head() {
-            None => true,
-            Some(h) => self.clock.now().since(h.issued_at) > self.head_refresh_interval,
-        }
+    /// The VRDT's mutation epoch ([`Vrdt::epoch`]) while the head is
+    /// fresh, or `None` while it is missing or older than the refresh
+    /// interval — a cheap probe readers use to decide if the witness
+    /// plane must refresh the head before serving.
+    ///
+    /// Two reads of one SN under the same `Some` epoch return the same
+    /// outcome (below-base evidence aside, whose validity also lapses
+    /// with the base certificate's expiry), so a caller may reuse a
+    /// response for as long as the epoch it took *before* the read is
+    /// still current.
+    pub fn read_epoch(&self) -> Option<u64> {
+        let vrdt = self.vrdt.read();
+        let head = vrdt.head()?;
+        (self.clock.now().since(head.issued_at) <= self.head_refresh_interval).then(|| vrdt.epoch())
     }
 
     /// Resolves `sn` and assembles evidence from shared host state alone.

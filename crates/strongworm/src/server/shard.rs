@@ -255,11 +255,8 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     }
 
     fn owner(&self, sn: SerialNumber) -> Result<&Arc<WormServer<D>>, WormError> {
-        let idx = self.router.route(sn)?;
-        self.shards.get(idx).ok_or(WormError::NoSuchShard {
-            lane: sn.lane(),
-            shard_count: self.router.shard_count(),
-        })
+        // The router holds one lane per shard, so a routed index is in range.
+        Ok(&self.shards[self.router.route(sn)?])
     }
 
     /// Writes a virtual record on the next shard in round-robin order,
@@ -301,6 +298,12 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     /// otherwise the owning shard's errors.
     pub fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
         self.owner(sn)?.read(sn)
+    }
+
+    /// The owning lane's read epoch ([`WormServer::read_epoch`]); `None`
+    /// for an SN outside every lane.
+    pub fn read_epoch(&self, sn: SerialNumber) -> Option<u64> {
+        self.owner(sn).ok()?.read_epoch()
     }
 
     /// Places a litigation hold, routed by the credential's SN.
@@ -525,20 +528,35 @@ mod tests {
 
     #[test]
     fn writes_fan_out_across_lanes() {
-        let (server, _clock, verifier) = deployment(4);
+        let (server, clock, verifier) = deployment(4);
+        let short = RetentionPolicy::custom(Duration::from_secs(50), Shredder::ZeroFill);
         let mut sns = Vec::new();
         for i in 0..8u8 {
             let sn = server
-                .write(&[format!("rec{i}").as_bytes()], policy())
+                .write(&[format!("rec{i}").as_bytes()], short)
                 .unwrap();
             sns.push(sn);
         }
-        let lanes: std::collections::BTreeSet<u32> = sns.iter().map(|sn| sn.lane()).collect();
-        assert_eq!(lanes.len(), 4, "round-robin must touch every shard");
+        let lanes: Vec<u32> = sns.iter().map(|sn| sn.lane()).collect();
+        assert_eq!(
+            lanes,
+            [0, 1, 2, 3, 0, 1, 2, 3],
+            "round-robin over every shard"
+        );
         for sn in &sns {
             let outcome = server.read(*sn).unwrap();
             let verdict = verifier.verify_read(*sn, &outcome).unwrap();
             assert_eq!(verdict, crate::ReadVerdict::Intact { sn: *sn });
+        }
+        // One deployment tick drives every shard's Retention Monitor.
+        clock.advance(Duration::from_secs(60));
+        server.tick().unwrap();
+        for sn in &sns {
+            let outcome = server.read(*sn).unwrap();
+            assert!(matches!(
+                verifier.verify_read(*sn, &outcome).unwrap(),
+                crate::ReadVerdict::ConfirmedDeleted { .. }
+            ));
         }
     }
 
@@ -609,6 +627,9 @@ mod tests {
     #[test]
     fn evidence_cannot_cross_lanes() {
         let (server, _clock, verifier) = deployment(2);
+        // Distinct SCPUs: no two shards share key material.
+        let keys = server.shard_keys();
+        assert_ne!(keys[0].0.sign.fingerprint(), keys[1].0.sign.fingerprint());
         let sn0 = server.write(&[b"zero"], policy()).unwrap();
         let sn1 = server.write(&[b"one"], policy()).unwrap();
         assert_ne!(sn0.lane(), sn1.lane());
@@ -620,15 +641,24 @@ mod tests {
 
     #[test]
     fn out_of_lane_sn_is_routed_nowhere() {
-        let (server, _clock, _verifier) = deployment(2);
-        let foreign = SerialNumber(SerialNumber::lane_origin(7) + 1);
-        assert!(matches!(
-            server.read(foreign),
-            Err(WormError::NoSuchShard {
-                lane: 7,
-                shard_count: 2
-            })
-        ));
+        let (server, clock, _verifier) = deployment(2);
+        for lane in [2, 7] {
+            let foreign = SerialNumber(SerialNumber::lane_origin(lane) + 1);
+            assert!(matches!(
+                server.read(foreign),
+                Err(WormError::NoSuchShard { lane: l, shard_count: 2 }) if l == lane
+            ));
+            assert_eq!(server.read_epoch(foreign), None);
+        }
+        // A deployment without lanes is rejected at boot.
+        let authority = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(42), 512);
+        assert!(ShardedWormServer::<MemDisk>::with_stores(
+            Vec::new(),
+            WormConfig::test_small(),
+            clock,
+            authority.public(),
+        )
+        .is_err());
     }
 
     #[test]

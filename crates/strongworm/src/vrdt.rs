@@ -138,6 +138,9 @@ pub struct Vrdt {
     /// In-flight shreds by extent offset.
     pending_shreds: BTreeMap<u64, ShredState>,
     recovery: RecoveryStats,
+    /// Mutation counter: bumped by every call that may change what a
+    /// lookup returns, never reset (see [`Vrdt::epoch`]).
+    epoch: u64,
 }
 
 impl std::fmt::Debug for Vrdt {
@@ -153,6 +156,7 @@ impl std::fmt::Debug for Vrdt {
             .field("txn_start", &self.txn_start)
             .field("pending_shreds", &self.pending_shreds)
             .field("recovery", &self.recovery)
+            .field("epoch", &self.epoch)
             .finish()
     }
 }
@@ -354,6 +358,7 @@ impl Vrdt {
     /// in-memory journal extends only if the sink accepted, so memory
     /// never runs ahead of disk.
     fn log(&mut self, op: u8, payload: &[u8]) -> Result<(), WormError> {
+        self.epoch += 1;
         let mut frame = Vec::with_capacity(payload.len() + 1);
         frame.push(op);
         frame.extend_from_slice(payload);
@@ -602,6 +607,15 @@ impl Vrdt {
         Ok(())
     }
 
+    /// A counter bumped by every mutating call (each journal append and
+    /// adversarial hook) and never reset: equal epochs on one table mean
+    /// equal lookup results. The journal length cannot serve here, since
+    /// [`Vrdt::abort_txn`] truncates it and the same length can return
+    /// with different contents.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// The latest head certificate.
     pub fn head(&self) -> Option<&HeadCert> {
         self.head.as_ref()
@@ -724,12 +738,14 @@ impl Vrdt {
     /// modelling Mallory's superuser edit of on-disk structures.
     #[doc(hidden)]
     pub fn entries_mut_for_attack(&mut self) -> &mut BTreeMap<SerialNumber, VrdtEntry> {
+        self.epoch += 1;
         &mut self.entries
     }
 
     /// Direct mutable access to windows — adversarial test hook.
     #[doc(hidden)]
     pub fn windows_mut_for_attack(&mut self) -> &mut Vec<WindowProof> {
+        self.epoch += 1;
         &mut self.windows
     }
 
@@ -737,6 +753,7 @@ impl Vrdt {
     /// test hook (stale-head replay).
     #[doc(hidden)]
     pub fn set_head_for_attack(&mut self, head: HeadCert) {
+        self.epoch += 1;
         self.head = Some(head);
     }
 }
@@ -1075,10 +1092,13 @@ mod tests {
         let mut t = Vrdt::new();
         t.insert(vrd(1)).unwrap();
         let before = t.journal().len_bytes();
+        let epoch = t.epoch();
         t.stage_expire(&del(1)).unwrap();
         t.abort_txn().unwrap();
         assert!(!t.has_open_txn());
         assert_eq!(t.journal().len_bytes(), before);
+        // The length came back; the epoch never does.
+        assert!(t.epoch() > epoch);
         assert!(matches!(t.lookup(SerialNumber(1)), Lookup::Active(_)));
         // Table keeps working after the abort.
         t.expire(del(1)).unwrap();

@@ -1,21 +1,30 @@
-//! Ablation A7 beyond the paper's envelope: write throughput of a
-//! sharded witness plane vs SCPU count.
+//! Ablation A7: write throughput of a sharded witness plane vs SCPU
+//! count.
 //!
-//! The paper's §5 remark claims write throughput scales linearly with
+//! The paper's §5 remark ("these results naturally scale if multiple
+//! SCPUs are available") claims write throughput scales linearly with
 //! the number of SCPUs because each write costs a fixed amount of
 //! secure-coprocessor time (witness signatures) while host-side work is
-//! comparatively free. This binary boots a `ShardedWormServer` at 1, 2,
+//! comparatively cheap. This binary boots a `ShardedWormServer` at 1, 2,
 //! 4, and 8 shards, drives the same write workload through the
 //! round-robin fan-out, and derives throughput from *virtual time* the
 //! same way `figure1` does: every shard's emulated SCPU charges each
 //! operation its documented IBM 4764 latency, so the results are
 //! deterministic and independent of this machine's core count.
 //!
+//! Two series are swept, both under Figure 1's `TrustHostHash` setting
+//! (1024-bit permanent keys, 512-bit weak keys): `strong` (two 1024-bit
+//! signatures per write) and `deferred` (512-bit signatures now,
+//! strengthened later).
+//!
 //! Shards operate in parallel (distinct SCPU devices, per-shard witness
 //! serialization), so the parallel completion time of the batch is the
 //! *makespan* — the busiest single shard's device time — while the
-//! host-side stage remains shared and serial. The effective rate is the
-//! pipeline minimum of the two, exactly the stage model of Figure 1.
+//! host-side stage (hashing the 4 KiB records) remains shared and
+//! serial. The effective rate is the pipeline minimum of the two,
+//! exactly the stage model of Figure 1. The deferred series reaches
+//! that host bound at 8 shards: `scpu_rps` keeps doubling, but
+//! `effective_rps` is capped by `host_rps`.
 //!
 //! After each measured point the batch is re-read over the wire: a
 //! `NetServer` fronts the sharded deployment, a `RemoteWormClient`
@@ -25,17 +34,19 @@
 //! read verifies.
 //!
 //! Emits `results/BENCH_shard_scaling.json` as JSON lines and exits
-//! nonzero if the speedup curve is not monotone — `--smoke` restricts
-//! the sweep to 1 vs 2 shards with a smaller batch for CI.
+//! nonzero if either series' speedup curve is not monotone, or (full
+//! sweep) is below 2.5x at 4 shards — `--smoke` restricts the sweep to
+//! 1 vs 2 shards with a smaller batch for CI.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use scpu::{CostModel, VirtualClock};
+use scpu::VirtualClock;
 use strongworm::{
-    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer, WormConfig,
+    HashMode, ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer,
+    WitnessMode, WormConfig,
 };
 use worm_bench::{json_record, to_json_lines};
 use wormcrypt::RsaPublicKey;
@@ -45,6 +56,8 @@ use wormstore::Shredder;
 /// One measured point of the A7 reproduction.
 #[derive(Clone, Debug)]
 struct ShardScalingPoint {
+    /// Witness tier of every write in the batch (`strong`/`deferred`).
+    witness: &'static str,
     shards: u32,
     records: usize,
     record_bytes: usize,
@@ -58,12 +71,14 @@ struct ShardScalingPoint {
     host_rps: f64,
     /// Pipeline minimum of the two stages.
     effective_rps: f64,
+    /// `effective_rps` over the same series' 1-shard point.
     speedup_vs_1: f64,
     /// Cross-shard wire reads verified against the composite head.
     wire_reads_verified: u64,
 }
 
 json_record!(ShardScalingPoint {
+    witness,
     shards,
     records,
     record_bytes,
@@ -79,17 +94,25 @@ json_record!(ShardScalingPoint {
 const RECORD_BYTES: usize = 4 << 10;
 /// Verified cross-shard reads sampled per point (capped by batch size).
 const READBACK_SAMPLES: usize = 16;
+/// The two A7 series, in report order.
+const SERIES: [(&str, WitnessMode); 2] = [
+    ("strong", WitnessMode::Strong),
+    ("deferred", WitnessMode::Deferred),
+];
 
+/// The paper defaults (1024-bit permanent keys, 512-bit weak keys, and
+/// the calibrated IBM 4764 cost model the throughput numbers derive
+/// from) under Figure 1's `TrustHostHash` setting.
 fn bench_config() -> WormConfig {
-    // Small keys keep the real crypto fast; the *virtual* cost model is
-    // the calibrated IBM 4764, which is what the throughput numbers are
-    // derived from.
-    let mut config = WormConfig::test_small();
-    config.device.cost_model = CostModel::ibm4764();
-    config
+    WormConfig {
+        hash_mode: HashMode::TrustHostHash,
+        store_capacity: 16 << 20,
+        ..WormConfig::default()
+    }
 }
 
 fn measure_point(
+    (witness_label, witness): (&'static str, WitnessMode),
     shards: u32,
     records: usize,
     regulator: &RsaPublicKey,
@@ -110,7 +133,11 @@ fn measure_point(
         shard.reset_meters();
     }
     let sns: Vec<SerialNumber> = (0..records)
-        .map(|_| server.write(&[&record], policy).expect("write succeeds"))
+        .map(|_| {
+            server
+                .write_with(&[&record], policy, 0, witness)
+                .expect("write succeeds")
+        })
         .collect();
 
     // Shards run in parallel: the batch completes when the busiest
@@ -130,11 +157,7 @@ fn measure_point(
 
     let n = records as f64;
     let scpu_rps = n / (scpu_makespan_ns as f64 / 1e9).max(1e-12);
-    let host_rps = if host_ns > 0 {
-        n / (host_ns as f64 / 1e9)
-    } else {
-        f64::INFINITY
-    };
+    let host_rps = n / (host_ns as f64 / 1e9);
     let effective_rps = scpu_rps.min(host_rps);
 
     // End-to-end check: every lane's records must still verify over the
@@ -142,6 +165,7 @@ fn measure_point(
     let wire_reads_verified = verify_over_wire(&server, clock, &sns);
 
     ShardScalingPoint {
+        witness: witness_label,
         shards,
         records,
         record_bytes: RECORD_BYTES,
@@ -199,38 +223,51 @@ fn main() {
     let regulator = RegulatoryAuthority::generate(&mut rng, 512);
 
     let mut points: Vec<ShardScalingPoint> = Vec::new();
-    for &shards in sweep {
-        let baseline = points.first().map(|p| p.effective_rps);
-        let p = measure_point(shards, records, regulator.public(), baseline);
-        println!(
-            "shards={:<2} effective={:>9.0} rec/s speedup={:.2}x wire-verified={}",
-            p.shards, p.effective_rps, p.speedup_vs_1, p.wire_reads_verified
-        );
-        points.push(p);
-    }
+    for series in SERIES {
+        let first = points.len();
+        for &shards in sweep {
+            let baseline = points.get(first).map(|p| p.effective_rps);
+            let p = measure_point(series, shards, records, regulator.public(), baseline);
+            println!(
+                "{:<8} shards={:<2} scpu={:>9.0} host={:>9.0} effective={:>9.0} rec/s \
+                 speedup={:.2}x wire-verified={}",
+                p.witness,
+                p.shards,
+                p.scpu_rps,
+                p.host_rps,
+                p.effective_rps,
+                p.speedup_vs_1,
+                p.wire_reads_verified
+            );
+            points.push(p);
+        }
 
-    // A7's claim is monotone (near-linear) scaling; a regression here
-    // means the fan-out serialized somewhere it shouldn't.
-    for pair in points.windows(2) {
-        assert!(
-            pair[1].effective_rps > pair[0].effective_rps,
-            "write throughput must be monotone in shard count: {} shards {:.0} rec/s vs {} shards {:.0} rec/s",
-            pair[0].shards,
-            pair[0].effective_rps,
-            pair[1].shards,
-            pair[1].effective_rps,
-        );
-    }
-    if !smoke {
-        let four = points
-            .iter()
-            .find(|p| p.shards == 4)
-            .expect("4-shard point");
-        assert!(
-            four.speedup_vs_1 >= 2.5,
-            "4-shard speedup must be >= 2.5x, got {:.2}x",
-            four.speedup_vs_1
-        );
+        // A7's claim is monotone (near-linear) scaling in each series; a
+        // regression here means the fan-out serialized somewhere it
+        // shouldn't.
+        let (label, series) = (series.0, &points[first..]);
+        for pair in series.windows(2) {
+            assert!(
+                pair[1].effective_rps > pair[0].effective_rps,
+                "{label} write throughput must be monotone in shard count: \
+                 {} shards {:.0} rec/s vs {} shards {:.0} rec/s",
+                pair[0].shards,
+                pair[0].effective_rps,
+                pair[1].shards,
+                pair[1].effective_rps,
+            );
+        }
+        if !smoke {
+            let four = series
+                .iter()
+                .find(|p| p.shards == 4)
+                .expect("4-shard point");
+            assert!(
+                four.speedup_vs_1 >= 2.5,
+                "{label} 4-shard speedup must be >= 2.5x, got {:.2}x",
+                four.speedup_vs_1
+            );
+        }
     }
 
     std::fs::create_dir_all("results").expect("results dir");

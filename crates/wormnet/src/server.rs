@@ -29,8 +29,8 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use strongworm::authority::{HoldCredential, ReleaseCredential};
 use strongworm::firmware::{DeviceKeys, WeakKeyCert};
 use strongworm::{
-    CompositeHead, ReadOutcome, RetentionPolicy, SerialNumber, ShardedWormServer, WitnessMode,
-    WormError, WormServer,
+    CompositeHead, DeletionEvidence, ReadOutcome, RetentionPolicy, SerialNumber, ShardedWormServer,
+    WitnessMode, WormError, WormServer,
 };
 use wormstore::BlockDevice;
 
@@ -69,6 +69,11 @@ pub trait WormBackend: Send + Sync {
     ///
     /// Routing failures (sharded backends) or store failures.
     fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError>;
+
+    /// The read epoch of the lane owning `sn`
+    /// ([`WormServer::read_epoch`]): while it stays `Some` and
+    /// unchanged, reads of `sn` return the same outcome.
+    fn read_epoch(&self, sn: SerialNumber) -> Option<u64>;
 
     /// Drives due device alarms on every SCPU.
     ///
@@ -137,6 +142,10 @@ impl<D: BlockDevice> WormBackend for WormServer<D> {
         WormServer::read(self, sn)
     }
 
+    fn read_epoch(&self, _sn: SerialNumber) -> Option<u64> {
+        WormServer::read_epoch(self)
+    }
+
     fn tick(&self) -> Result<(), WormError> {
         WormServer::tick(self)
     }
@@ -191,6 +200,10 @@ impl<D: BlockDevice> WormBackend for ShardedWormServer<D> {
 
     fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
         ShardedWormServer::read(self, sn)
+    }
+
+    fn read_epoch(&self, sn: SerialNumber) -> Option<u64> {
+        ShardedWormServer::read_epoch(self, sn)
     }
 
     fn tick(&self) -> Result<(), WormError> {
@@ -388,8 +401,6 @@ impl NetServer {
             u64::try_from(config.slow_trace_threshold.as_nanos()).unwrap_or(u64::MAX),
         );
 
-        // Shared read-cache invalidation generation (see [`ReadCache`]).
-        let cache_gen = Arc::new(AtomicU64::new(0));
         let mut txs: Vec<Sender<TcpStream>> = Vec::new();
         let mut wakers: Vec<Arc<netpoll::WakeWriter>> = Vec::new();
         let mut workers = Vec::new();
@@ -403,7 +414,7 @@ impl NetServer {
             let served = served.clone();
             let stats = stats.clone();
             let live = live.clone();
-            let cache = ReadCache::new(Arc::clone(&cache_gen));
+            let cache = ReadCache::default();
             let handle = std::thread::Builder::new()
                 .name(format!("wormnet-worker{idx}"))
                 .spawn(move || {
@@ -624,57 +635,36 @@ const READ_CACHE_CAP: usize = 4096;
 
 /// Per-worker cache of encoded responses for *untraced* reads.
 ///
-/// A read response is a pure function of backend state: the VRD and
-/// records were fixed at commit time and the head certificate only
-/// changes on heartbeats — so between mutations the server re-reads,
-/// re-encodes, and re-sends byte-identical responses. The cache keys on
-/// the serial number and is invalidated wholesale by a shared state
-/// generation that every mutating request (write, delete, hold,
-/// release, tick) bumps; an entry only serves while the generation it
-/// was filled under is still current. Traced requests bypass the cache
-/// entirely (their spans must reflect real work), as does the whole
-/// path while trace collection is enabled.
+/// Between mutations a read response is byte-identical: the VRD and
+/// records were fixed at commit time and the head changes only when the
+/// witness plane installs a new one. Each entry keeps the owning lane's
+/// read epoch ([`WormBackend::read_epoch`]) taken *before* the read it
+/// caches, and serves only while that epoch is still current. The epoch
+/// moves on every VRDT mutation, whoever makes it (a wire request, the
+/// retention daemon, an in-process call), and is `None` once the head
+/// is due for a lazy refresh, so a hit never serves state an uncached
+/// read would not. Below-base deletion evidence is not cached: its base
+/// certificate lapses by the clock, not by a mutation. Traced requests
+/// bypass the cache entirely (their spans must reflect real work), as
+/// does the whole path while trace collection is enabled.
+#[derive(Default)]
 pub(crate) struct ReadCache {
-    /// Shared mutation generation — bumped by any worker, read by all.
-    generation: Arc<AtomicU64>,
     map: HashMap<SerialNumber, (u64, Vec<u8>)>,
 }
 
 impl ReadCache {
-    pub(crate) fn new(generation: Arc<AtomicU64>) -> Self {
-        ReadCache {
-            generation,
-            map: HashMap::new(),
-        }
-    }
-
-    fn current(&self) -> u64 {
-        // ordering: Acquire pairs with the Release bump in `invalidate`
-        // so a hit can only serve bytes at least as fresh as the last
-        // completed mutation.
-        self.generation.load(Ordering::Acquire)
-    }
-
-    fn invalidate(&self) {
-        // ordering: Release publishes the backend mutation (already
-        // completed by `handle` on this thread) before the bumped
-        // generation becomes visible to other workers' Acquire loads.
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    fn get(&self, sn: SerialNumber) -> Option<Vec<u8>> {
-        let now = self.current();
+    fn get(&self, sn: SerialNumber, epoch: u64) -> Option<Vec<u8>> {
         self.map
             .get(&sn)
-            .filter(|(gen, _)| *gen == now)
+            .filter(|(filled, _)| *filled == epoch)
             .map(|(_, bytes)| bytes.clone())
     }
 
-    fn insert(&mut self, sn: SerialNumber, gen: u64, bytes: Vec<u8>) {
+    fn insert(&mut self, sn: SerialNumber, epoch: u64, bytes: Vec<u8>) {
         if self.map.len() >= READ_CACHE_CAP && !self.map.contains_key(&sn) {
             self.map.clear();
         }
-        self.map.insert(sn, (gen, bytes));
+        self.map.insert(sn, (epoch, bytes));
     }
 }
 
@@ -694,49 +684,33 @@ pub(crate) fn respond<B: WormBackend>(
         .add(payload.len() as u64 + FRAME_HEADER_BYTES);
     let timer = stats.trace.timer();
     let decoded = decode_request_traced(payload);
-    let tracing_live = stats.trace.enabled();
     // Cache fast path: an untraced read while collection is off can be
-    // answered from the bytes encoded last time (see [`ReadCache`]).
-    if !tracing_live {
-        if let Ok((NetRequest::Read { sn }, None)) = &decoded {
-            if let Some(hit) = cache.get(*sn) {
-                if let Some((ns, prior)) = stats.request.finish(timer, true) {
-                    if prior % stats.trace.read_event_sample() == 0 {
-                        stats.trace.emit(wormtrace::TraceEvent {
-                            op: "net.request",
-                            plane: wormtrace::Plane::Net,
-                            sn: None,
-                            duration_ns: ns,
-                            ok: true,
-                        });
-                    }
-                }
-                // ordering: monitoring counter; no other memory is
-                // published through it.
-                served.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
+    // answered from the bytes encoded last time (see [`ReadCache`]). The
+    // epoch is taken before dispatch, so an entry filled below under it
+    // stops serving at the first mutation that races with this read.
+    let cache_key = match &decoded {
+        Ok((NetRequest::Read { sn }, None)) if !stats.trace.enabled() => {
+            server.read_epoch(*sn).map(|epoch| (*sn, epoch))
         }
-    }
-    // Snapshot *before* dispatch: a mutation racing with this read
-    // bumps the generation past the snapshot, so the entry filled
-    // below can never serve state older than that mutation.
-    let gen_before = cache.current();
-    let cache_sn = match &decoded {
-        Ok((NetRequest::Read { sn }, None)) if !tracing_live => Some(*sn),
         _ => None,
     };
-    let mutating = matches!(
-        &decoded,
-        Ok((
-            NetRequest::Write { .. }
-                | NetRequest::Delete { .. }
-                | NetRequest::LitHold(_)
-                | NetRequest::LitRelease(_)
-                | NetRequest::Tick,
-            _
-        ))
-    );
+    if let Some(hit) = cache_key.and_then(|(sn, epoch)| cache.get(sn, epoch)) {
+        if let Some((ns, prior)) = stats.request.finish(timer, true) {
+            if prior % stats.trace.read_event_sample() == 0 {
+                stats.trace.emit(wormtrace::TraceEvent {
+                    op: "net.request",
+                    plane: wormtrace::Plane::Net,
+                    sn: None,
+                    duration_ns: ns,
+                    ok: true,
+                });
+            }
+        }
+        // ordering: monitoring counter; no other memory is published
+        // through it.
+        served.fetch_add(1, Ordering::Relaxed);
+        return hit;
+    }
     let (resp, traced) = match decoded {
         // A trace is collected per request whenever the registry is
         // live: thread-attach the trace, open the root span, and
@@ -767,11 +741,17 @@ pub(crate) fn respond<B: WormBackend>(
     };
     let ok = !matches!(resp, NetResponse::Error { .. });
     let encoded = encode_response(&resp);
-    if mutating {
-        cache.invalidate();
-    } else if ok {
-        if let Some(sn) = cache_sn {
-            cache.insert(sn, gen_before, encoded.clone());
+    if let Some((sn, epoch)) = cache_key {
+        if let NetResponse::Outcome(outcome) = &resp {
+            if !matches!(
+                outcome,
+                ReadOutcome::Deleted {
+                    evidence: DeletionEvidence::BelowBase(_),
+                    ..
+                }
+            ) {
+                cache.insert(sn, epoch, encoded.clone());
+            }
         }
     }
     if let Some((ns, prior)) = stats.request.finish(timer, ok) {

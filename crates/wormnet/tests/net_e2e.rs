@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Clock, VirtualClock};
 use strongworm::{
-    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer, WormConfig,
-    WormServer,
+    ReadOutcome, ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber,
+    ShardedWormServer, WitnessMode, WormConfig, WormServer,
 };
 use wormnet::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient};
@@ -747,6 +747,65 @@ fn single_server_answers_shard_aware_requests_degenerately() {
     assert_eq!(verdict, ReadVerdict::Intact { sn });
     let composite = client.composite_head_verified(&verifier).unwrap();
     assert_eq!(composite.binding.shard_count, 1);
+    h.net.shutdown();
+}
+
+#[test]
+fn read_cache_tracks_in_process_mutations_and_certificate_age() {
+    // Collection off: untraced wire reads then go through the per-worker
+    // ReadCache. State changes the wire never sees must still reach the
+    // next read.
+    let h = boot(NetServerConfig::default());
+    h.server.trace().set_enabled(false);
+    let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
+    let verifier = client
+        .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
+        .unwrap();
+    let short = client.write(&[b"short-lived"], policy(50)).unwrap();
+    let kept = client
+        .write_with(&[b"deferred"], policy(100_000), 0, WitnessMode::Deferred)
+        .unwrap();
+    for _ in 0..2 {
+        let (verdict, _) = client.read_verified(short, &verifier).unwrap();
+        assert_eq!(verdict, ReadVerdict::Intact { sn: short });
+    }
+
+    // Idle strengthening in-process replaces the weak witnesses.
+    let weak = client.read_raw(kept).unwrap();
+    assert!(matches!(&weak, ReadOutcome::Data { vrd, .. } if vrd.needs_strengthening()));
+    h.server.idle(1_000_000_000).unwrap();
+    let strong = client.read_raw(kept).unwrap();
+    assert!(matches!(&strong, ReadOutcome::Data { vrd, .. } if !vrd.needs_strengthening()));
+
+    // An in-process retention pass (what `RetentionDaemon` runs) expires
+    // and shreds the record: the wire must stop serving its plaintext.
+    h.clock.advance(Duration::from_secs(60));
+    h.server.tick().unwrap();
+    let (verdict, outcome) = client.read_verified(short, &verifier).unwrap();
+    assert_eq!(outcome.kind(), "deleted");
+    assert!(matches!(verdict, ReadVerdict::ConfirmedDeleted { .. }));
+
+    // Read-only traffic: once the cached head outlives the refresh
+    // interval, the next read refreshes it lazily instead of replaying
+    // a response the verifier rejects as stale.
+    let (verdict, _) = client.read_verified(kept, &verifier).unwrap();
+    assert_eq!(verdict, ReadVerdict::Intact { sn: kept });
+    h.clock.advance(Duration::from_secs(400));
+    let (verdict, _) = client.read_verified(kept, &verifier).unwrap();
+    assert_eq!(verdict, ReadVerdict::Intact { sn: kept });
+
+    // Below-base evidence lapses by the clock alone: a response must not
+    // outlive its base certificate, even while the head is still fresh.
+    h.server.refresh_base().unwrap();
+    let base = h.server.vrdt().base().cloned().unwrap();
+    assert!(short < base.sn_base);
+    h.clock
+        .advance(base.expires_at.since(h.clock.now()) - Duration::from_secs(20));
+    for step in [0, 0, 25] {
+        h.clock.advance(Duration::from_secs(step));
+        let (verdict, _) = client.read_verified(short, &verifier).unwrap();
+        assert!(matches!(verdict, ReadVerdict::ConfirmedDeleted { .. }));
+    }
     h.net.shutdown();
 }
 
